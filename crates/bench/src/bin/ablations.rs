@@ -75,9 +75,10 @@ fn majority_vote_vs_ranked(corpus: &Corpus) {
 == Ablation 5 — majority-vote kNN vs ranked list (Fig. 6/7, fold 0) =="
     );
     let ranked = RankedKnn::new(SimilarityMeasure::Jaccard);
+    let idx = SealedIndex::build(&kb);
     let mut hits = 0usize;
     for (i, f) in &test {
-        let list = ranked.rank(&kb, &bundles[*i].part_id, f);
+        let list = ranked.rank(&idx, &kb, &bundles[*i].part_id, f);
         if list.first().map(|s| s.code.as_str()) == bundles[*i].error_code.as_deref() {
             hits += 1;
         }
@@ -175,6 +176,7 @@ fn taxonomy_expansion(corpus: &Corpus) {
         kb.insert(b.part_id.clone(), b.error_code.clone().unwrap(), f);
     }
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
+    let idx = SealedIndex::build(&kb);
     let mut acc = AccuracyCounter::new(&PAPER_KS);
     for (i, b) in bundles.iter().enumerate() {
         if folds[i] != 0 {
@@ -183,7 +185,7 @@ fn taxonomy_expansion(corpus: &Corpus) {
         let mut cas = b.to_cas(SourceSelection::Test);
         pipeline.process(&mut cas).unwrap();
         let f = space.extract(&cas, FeatureModel::BagOfConcepts);
-        let ranked = knn.rank(&kb, &b.part_id, &f);
+        let ranked = knn.rank(&idx, &kb, &b.part_id, &f);
         acc.record(knn.rank_of(&ranked, b.error_code.as_deref().unwrap()));
     }
 

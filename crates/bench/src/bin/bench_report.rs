@@ -3,7 +3,8 @@
 //! Two modes share one report file and one gate:
 //!
 //! * **classic** (default): fixed micro-benchmarks over the hot paths
-//!   metered by `qatk-obs` (classify_batch, the rank kernel, concurrent
+//!   metered by `qatk-obs` (classify_batch, a kNN `rank_batch` fan-out;
+//!   the rank kernel over the sealed index; concurrent
 //!   `&self` suggest over one shared snapshot, the HTTP serving layer
 //!   end-to-end over loopback, concept annotation, tokenization, WAL
 //!   appends — both OS-buffered and fsync-per-batch), plus the
@@ -77,56 +78,26 @@ const MIN_1M_RECALL: f64 = 0.95;
 /// Seeded queries behind the recall measurement.
 const RECALL_QUERIES: usize = 256;
 
-/// Enabled-vs-disabled classify_batch timings, interleaved so drift hits
-/// both arms equally. One interleave pass compares the *fastest* sample of
-/// each arm — like `BENCH_REPS` min-of-medians, preemption and frequency
-/// scaling only ever slow a sample down — and the reported overhead is the
-/// median of several independent passes, since a single pass still swings a
-/// few percent either way on a busy host. Returns the overhead in percent
-/// (negative = noise).
-fn measure_obs_overhead(knn: &RankedKnn, kb: &KnowledgeBase, queries: &[BatchQuery<'_>]) -> f64 {
-    fn one_pass(knn: &RankedKnn, kb: &KnowledgeBase, queries: &[BatchQuery<'_>]) -> f64 {
-        let rounds = 24;
-        // several batch calls per sample: one call is ~100µs dominated by
-        // worker spawn/join jitter, so each timed sample amortizes it
-        let calls_per_sample = 4;
+/// Enabled-vs-disabled timing of `work` under an instrumentation flag
+/// (`set_enabled`: `qatk_obs` or `qatk_trace`), interleaved so drift hits
+/// both arms equally. One interleave pass of `rounds` samples per arm, each
+/// `calls_per_sample` calls of `work`, compares the *fastest* sample of each
+/// arm — like `BENCH_REPS` min-of-medians, preemption and frequency scaling
+/// only ever slow a sample down — and the reported overhead is the median
+/// of 7 independent passes, since a single pass still swings a few percent
+/// either way on a busy host. Leaves the flag enabled. Returns the overhead
+/// in percent (negative = noise).
+fn measure_overhead(
+    set_enabled: fn(bool),
+    rounds: usize,
+    calls_per_sample: usize,
+    mut work: impl FnMut(),
+) -> f64 {
+    let mut one_pass = || -> f64 {
         let mut on = Vec::with_capacity(rounds);
         let mut off = Vec::with_capacity(rounds);
         for i in 0..rounds * 2 {
-            qatk_obs::set_enabled(i % 2 == 0);
-            let t = Instant::now();
-            for _ in 0..calls_per_sample {
-                std::hint::black_box(knn.classify_batch(kb, queries));
-            }
-            let ns = t.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            if i % 2 == 0 {
-                on.push(ns);
-            } else {
-                off.push(ns);
-            }
-        }
-        let on = *on.iter().min().expect("rounds > 0") as f64;
-        let off = *off.iter().min().expect("rounds > 0") as f64;
-        (on - off) / off * 100.0
-    }
-    let mut estimates: Vec<f64> = (0..7).map(|_| one_pass(knn, kb, queries)).collect();
-    qatk_obs::set_enabled(true);
-    estimates.sort_by(|a, b| a.total_cmp(b));
-    estimates[estimates.len() / 2]
-}
-
-/// Enabled-vs-disabled timing of `work` under the qatk-trace flag, with
-/// the same smoothing as [`measure_obs_overhead`]: interleaved arms,
-/// min-of-arm per pass, median of 7 passes. Returns percent (negative =
-/// noise).
-fn measure_trace_overhead(mut work: impl FnMut()) -> f64 {
-    let one_pass = |work: &mut dyn FnMut()| -> f64 {
-        let rounds = 32;
-        let calls_per_sample = 8;
-        let mut on = Vec::with_capacity(rounds);
-        let mut off = Vec::with_capacity(rounds);
-        for i in 0..rounds * 2 {
-            qatk_trace::set_enabled(i % 2 == 0);
+            set_enabled(i % 2 == 0);
             let t = Instant::now();
             for _ in 0..calls_per_sample {
                 work();
@@ -142,8 +113,8 @@ fn measure_trace_overhead(mut work: impl FnMut()) -> f64 {
         let off = *off.iter().min().expect("rounds > 0") as f64;
         (on - off) / off * 100.0
     };
-    let mut estimates: Vec<f64> = (0..7).map(|_| one_pass(&mut work)).collect();
-    qatk_trace::set_enabled(true);
+    let mut estimates: Vec<f64> = (0..7).map(|_| one_pass()).collect();
+    set_enabled(true);
     estimates.sort_by(|a, b| a.total_cmp(b));
     estimates[estimates.len() / 2]
 }
@@ -176,7 +147,9 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
             space.extract(&cas, FeatureModel::BagOfConcepts),
         );
     }
+    let idx = SealedIndex::build(&kb);
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
+    let ranker = RankerModel::Knn(knn);
 
     let probe_bundles: Vec<_> = corpus.bundles.iter().take(120).collect();
     let features: Vec<FeatureSet> = probe_bundles
@@ -200,13 +173,13 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
 
     eprintln!("benchmarking classify_batch ...");
     benches.push(bench("classify_batch", queries.len() as u64, 3, 30, || {
-        std::hint::black_box(knn.classify_batch(&kb, &queries));
+        std::hint::black_box(ranker.rank_batch(&kb, Some(&idx), &queries));
     }));
 
     eprintln!("benchmarking rank kernel ...");
     let (q0, f0) = (&probe_bundles[0], &features[0]);
     benches.push(bench("rank", 1, 50, 200, || {
-        std::hint::black_box(knn.rank(&kb, &q0.part_id, f0));
+        std::hint::black_box(knn.rank(&idx, &kb, &q0.part_id, f0));
     }));
 
     eprintln!("benchmarking suggest_concurrent (8 threads, shared snapshot) ...");
@@ -345,7 +318,11 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
     let _ = std::fs::remove_file(&fsync_path);
 
     eprintln!("measuring observability overhead on classify_batch ...");
-    let obs_overhead_pct = measure_obs_overhead(&knn, &kb, &queries);
+    // several batch calls per sample: one call is ~100µs dominated by worker
+    // spawn/join jitter, so each timed sample amortizes it
+    let obs_overhead_pct = measure_overhead(qatk_obs::set_enabled, 24, 4, || {
+        std::hint::black_box(ranker.rank_batch(&kb, Some(&idx), &queries));
+    });
     eprintln!("observability overhead: {obs_overhead_pct:+.2}% (limit {MAX_OBS_OVERHEAD_PCT}%)");
     if obs_overhead_pct > MAX_OBS_OVERHEAD_PCT {
         return Err(format!(
@@ -354,8 +331,8 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
     }
 
     eprintln!("measuring tracing overhead on the rank kernel (no root span) ...");
-    let trace_rank_pct = measure_trace_overhead(|| {
-        std::hint::black_box(knn.rank(&kb, &q0.part_id, f0));
+    let trace_rank_pct = measure_overhead(qatk_trace::set_enabled, 32, 8, || {
+        std::hint::black_box(knn.rank(&idx, &kb, &q0.part_id, f0));
     });
     eprintln!("tracing overhead (rank): {trace_rank_pct:+.2}% (limit {MAX_TRACE_OVERHEAD_PCT}%)");
 
@@ -383,7 +360,7 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
         std::time::Duration::from_secs(5),
     )
     .map_err(|e| format!("connect loopback for trace overhead: {e}"))?;
-    let trace_serve_pct = measure_trace_overhead(|| {
+    let trace_serve_pct = measure_overhead(qatk_trace::set_enabled, 32, 8, || {
         let resp = trace_client
             .request("POST", "/suggest", Some(&suggest_body))
             .expect("loopback /suggest for trace overhead");
@@ -552,8 +529,8 @@ fn run_scale(tier: ScaleTier, seed: u64) -> Result<Vec<BenchResult>, String> {
     };
     let (mut overlap, mut total) = (0usize, 0usize);
     for (part, f) in &queries {
-        let exact = top_codes(&knn.rank_sealed(&idx, &kb, part, f));
-        let pruned = top_codes(&knn.rank_sealed_pruned(&idx, &kb, part, f));
+        let exact = top_codes(&knn.rank(&idx, &kb, part, f));
+        let pruned = top_codes(&knn.rank_pruned(&idx, &kb, part, f));
         overlap += exact.iter().filter(|c| pruned.contains(c)).count();
         total += exact.len();
     }
@@ -571,13 +548,13 @@ fn run_scale(tier: ScaleTier, seed: u64) -> Result<Vec<BenchResult>, String> {
     eprintln!("benchmarking rank_{label} (LSH-pruned) ...");
     benches.push(bench(&format!("rank_{label}"), n, 1, 5, || {
         for (part, f) in &queries {
-            std::hint::black_box(knn.rank_sealed_pruned(&idx, &kb, part, f));
+            std::hint::black_box(knn.rank_pruned(&idx, &kb, part, f));
         }
     }));
     eprintln!("benchmarking rank_{label}_exact ...");
     benches.push(bench(&format!("rank_{label}_exact"), n, 1, 3, || {
         for (part, f) in &queries {
-            std::hint::black_box(knn.rank_sealed(&idx, &kb, part, f));
+            std::hint::black_box(knn.rank(&idx, &kb, part, f));
         }
     }));
 
@@ -589,7 +566,7 @@ fn run_scale(tier: ScaleTier, seed: u64) -> Result<Vec<BenchResult>, String> {
                 let (knn, idx, kb) = (&knn, &idx, &kb);
                 scope.spawn(move || {
                     for (part, f) in chunk {
-                        std::hint::black_box(knn.rank_sealed_pruned(idx, kb, part, f));
+                        std::hint::black_box(knn.rank_pruned(idx, kb, part, f));
                     }
                 });
             }

@@ -229,7 +229,8 @@ fn paper_kb(
     Ok((kb, queries))
 }
 
-/// Per-family rank_batch medians over one shared KB; `tag` distinguishes
+/// Per-family rank_batch medians over one shared KB and its sealed index,
+/// sealed once outside the timing loop; `tag` distinguishes
 /// the paper corpus ("") from the scale tiers ("_100k"). `batch_reps`
 /// replicates the worklist within a single timed batch: the paper-corpus
 /// batches are only ~100µs, so the scoped-thread spawn cost of the eager
@@ -248,6 +249,7 @@ fn bench_families(
             features: f,
         })
         .collect();
+    let idx = SealedIndex::build(kb);
     let mut benches = Vec::new();
     for family in ClassifierFamily::ALL {
         let t = Instant::now();
@@ -260,7 +262,7 @@ fn bench_families(
         );
         let name = format!("zoo_rank{tag}_{}", family.label().replace('-', "_"));
         benches.push(bench(&name, refs.len() as u64, 1, samples, || {
-            std::hint::black_box(ranker.rank_batch(kb, None, &refs));
+            std::hint::black_box(ranker.rank_batch(kb, Some(&idx), &refs));
         }));
     }
     benches

@@ -8,12 +8,13 @@
 //! This sidesteps standard kNN's sensitivity to local data structures
 //! (Fig. 6) because no single k decides the answer.
 
-use std::cmp::Ordering;
+use std::cell::RefCell;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::features::FeatureSet;
-use crate::knowledge::{KnowledgeBase, ScoreScratch};
-use crate::segment::SealedIndex;
+use crate::knowledge::KnowledgeBase;
+use crate::segment::{ScoreScratch, SealedIndex};
 use crate::similarity::SimilarityMeasure;
 
 /// One recommendation: an error code with its best similarity score.
@@ -23,7 +24,7 @@ pub struct ScoredCode {
     pub score: f64,
 }
 
-/// One query of a [`RankedKnn::classify_batch`] call.
+/// One query of a [`crate::zoo::Classifier::rank_batch`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchQuery<'a> {
     pub part_id: &'a str,
@@ -31,8 +32,8 @@ pub struct BatchQuery<'a> {
 }
 
 /// Entry of the bounded top-k heap: a scored node. Total order = "goodness"
-/// under the naive ranking's sort key (score descending, node index
-/// ascending on ties), so `a > b` ⇔ the naive sort would place `a` first.
+/// under the ranking's sort key (score descending, node index ascending on
+/// ties), so `a > b` ⇔ a full sort would place `a` first.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     score: f64,
@@ -94,37 +95,21 @@ impl RankedKnn {
     /// are deterministic.
     ///
     /// Implementation: the posting-list score-accumulation kernel — one walk
-    /// of the inverted index accumulates |A ∩ B| per candidate node, scores
-    /// come from the counts ([`SimilarityMeasure::score_from_counts`]), and
-    /// a bounded binary heap selects the `top_nodes` best without sorting
-    /// all candidates. Produces rankings identical to [`RankedKnn::rank_naive`]
-    /// (asserted exhaustively by the `ranking_equivalence` differential
-    /// suite). Scratch state lives in a thread-local, so `rank` is `&self`,
-    /// allocation-free after each thread's first query, and safe to call
-    /// from any number of threads sharing one knowledge base. Batch workers
-    /// that want explicit control pass their own scratch to
-    /// [`RankedKnn::rank_with`] or go through [`RankedKnn::classify_batch`].
+    /// of the sealed index's compressed postings accumulates |A ∩ B| per
+    /// candidate node, scores come from the counts
+    /// ([`SimilarityMeasure::score_from_counts`]), and a bounded binary heap
+    /// selects the `top_nodes` best without sorting all candidates. The
+    /// `ranking_equivalence` differential suite holds it to a scan-based
+    /// oracle. `idx` must be sealed from `kb`, which supplies the strings
+    /// (part lookup, code emission). Scratch state lives in a thread-local,
+    /// so `rank` is `&self`, allocation-free after each thread's first
+    /// query, and safe to call from any number of threads.
     pub fn rank(
         &self,
+        idx: &SealedIndex,
         kb: &KnowledgeBase,
         part_id: &str,
         features: &FeatureSet,
-    ) -> Vec<ScoredCode> {
-        thread_local! {
-            static RANK_SCRATCH: std::cell::RefCell<ScoreScratch> =
-                std::cell::RefCell::new(ScoreScratch::new());
-        }
-        RANK_SCRATCH.with(|s| self.rank_with(kb, part_id, features, &mut s.borrow_mut()))
-    }
-
-    /// [`RankedKnn::rank`] with caller-provided scratch state, for hot loops
-    /// that classify many bundles against the same knowledge base.
-    pub fn rank_with(
-        &self,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-        scratch: &mut ScoreScratch,
     ) -> Vec<ScoredCode> {
         let m = crate::metrics::metrics();
         m.rank_queries_total.inc();
@@ -132,11 +117,22 @@ impl RankedKnn {
         // and candidate-count distributions are sampled (counters stay exact)
         let sampled = m.rank_sample.hit();
         let _span = sampled.then(|| qatk_obs::Timer::start(m.rank_latency_ns));
-        kb.accumulate_counts(part_id, features, scratch);
-        if sampled {
-            m.rank_candidates.record(scratch.touched().len() as u64);
-        }
-        let top = if scratch.touched().is_empty() {
+        let top = with_scratch(|scratch| {
+            idx.accumulate_into(kb.part_index(part_id), features, scratch);
+            if sampled {
+                m.rank_candidates.record(scratch.touched().len() as u64);
+            }
+            if !scratch.touched().is_empty() {
+                let a_len = features.len();
+                return self.top_k(scratch.touched().iter().map(|&n| HeapEntry {
+                    score: self.measure.score_from_counts(
+                        scratch.count(n) as usize,
+                        a_len,
+                        idx.node_len(n),
+                    ),
+                    idx: n,
+                }));
+            }
             m.classifier_skipped_total.inc();
             if kb.has_part(part_id) {
                 // known part, no shared feature → no candidates at all
@@ -144,71 +140,13 @@ impl RankedKnn {
             } else {
                 // unknown part with zero overlap anywhere: the paper's
                 // fallback selects the entire knowledge base; every score is
-                // 0, so the naive (score desc, index asc) order is simply
-                // the first `top_nodes` nodes
+                // 0, so the (score desc, index asc) order is simply the
+                // first `top_nodes` nodes
                 (0..kb.len().min(self.top_nodes))
                     .map(|i| (0.0f64, i))
                     .collect()
             }
-        } else {
-            self.select_top_nodes(features.len(), scratch, |n| {
-                kb.nodes()[n as usize].features.len()
-            })
-        };
-        Self::emit_codes(kb, top)
-    }
-
-    /// [`RankedKnn::rank`] over a [`SealedIndex`] segment: identical
-    /// semantics and bit-identical results, but the score accumulation walks
-    /// the delta+varint-compressed posting arena instead of the live
-    /// `HashMap` inverted index. The knowledge base supplies the strings
-    /// (part lookup, code emission); node indexes agree between the two
-    /// structures by construction.
-    pub fn rank_sealed(
-        &self,
-        idx: &SealedIndex,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-    ) -> Vec<ScoredCode> {
-        thread_local! {
-            static SEALED_SCRATCH: std::cell::RefCell<ScoreScratch> =
-                std::cell::RefCell::new(ScoreScratch::new());
-        }
-        SEALED_SCRATCH
-            .with(|s| self.rank_sealed_with(idx, kb, part_id, features, &mut s.borrow_mut()))
-    }
-
-    /// [`RankedKnn::rank_sealed`] with caller-provided scratch state.
-    pub fn rank_sealed_with(
-        &self,
-        idx: &SealedIndex,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-        scratch: &mut ScoreScratch,
-    ) -> Vec<ScoredCode> {
-        let m = crate::metrics::metrics();
-        m.rank_queries_total.inc();
-        let sampled = m.rank_sample.hit();
-        let _span = sampled.then(|| qatk_obs::Timer::start(m.rank_latency_ns));
-        idx.accumulate_into(kb.part_index(part_id), features, scratch);
-        if sampled {
-            m.rank_candidates.record(scratch.touched().len() as u64);
-        }
-        let top = if scratch.touched().is_empty() {
-            m.classifier_skipped_total.inc();
-            if kb.has_part(part_id) {
-                Vec::new()
-            } else {
-                // unknown-part whole-KB fallback, same as `rank_with`
-                (0..kb.len().min(self.top_nodes))
-                    .map(|i| (0.0f64, i))
-                    .collect()
-            }
-        } else {
-            self.select_top_nodes(features.len(), scratch, |n| idx.node_len(n))
-        };
+        });
         Self::emit_codes(kb, top)
     }
 
@@ -219,123 +157,78 @@ impl RankedKnn {
     /// tie-break are identical to the exact path's. The approximation is
     /// purely in *which* nodes are considered: a true neighbour the LSH
     /// misses cannot be ranked. `tests/lsh_recall.rs` holds this path to
-    /// ≥ 95 % top-25 recall against [`RankedKnn::rank_sealed`] as the
-    /// differential oracle.
+    /// ≥ 95 % top-25 recall against [`RankedKnn::rank`] as the differential
+    /// oracle.
     ///
     /// Unknown parts and empty feature sets delegate to the exact path: the
     /// paper's whole-knowledge-base fallback has nothing to prune, and the
     /// exact kernel is already cheap in those cases.
-    pub fn rank_sealed_pruned(
+    pub fn rank_pruned(
         &self,
         idx: &SealedIndex,
         kb: &KnowledgeBase,
         part_id: &str,
         features: &FeatureSet,
-    ) -> Vec<ScoredCode> {
-        thread_local! {
-            static PRUNED_SCRATCH: std::cell::RefCell<ScoreScratch> =
-                std::cell::RefCell::new(ScoreScratch::new());
-        }
-        PRUNED_SCRATCH
-            .with(|s| self.rank_sealed_pruned_with(idx, kb, part_id, features, &mut s.borrow_mut()))
-    }
-
-    /// [`RankedKnn::rank_sealed_pruned`] with caller-provided scratch state.
-    pub fn rank_sealed_pruned_with(
-        &self,
-        idx: &SealedIndex,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-        scratch: &mut ScoreScratch,
     ) -> Vec<ScoredCode> {
         let Some(part) = kb.part_index(part_id) else {
-            return self.rank_sealed_with(idx, kb, part_id, features, scratch);
+            return self.rank(idx, kb, part_id, features);
         };
         if features.is_empty() {
-            return self.rank_sealed_with(idx, kb, part_id, features, scratch);
+            return self.rank(idx, kb, part_id, features);
         }
         let m = crate::metrics::metrics();
         m.rank_queries_total.inc();
         m.rank_pruned_total.inc();
         let sampled = m.rank_sample.hit();
         let _span = sampled.then(|| qatk_obs::Timer::start(m.rank_latency_ns));
-        idx.lsh_candidates_into(Some(part), features, scratch);
-        if sampled {
-            m.lsh_candidates.record(scratch.touched().len() as u64);
-        }
-        if scratch.touched().is_empty() {
-            m.classifier_skipped_total.inc();
-            return Vec::new();
-        }
-        // exact re-scoring of the pruned candidates — scratch counts are
-        // band collisions here, NOT intersections, so the true |A ∩ B| comes
-        // from a feature-set merge per candidate
-        let k = self.top_nodes;
-        if k == 0 {
-            return Vec::new();
-        }
-        let a_len = features.len();
-        let mut heap: BinaryHeap<std::cmp::Reverse<HeapEntry>> = BinaryHeap::with_capacity(k + 1);
-        for &n in scratch.touched() {
-            let node = &kb.nodes()[n as usize];
-            let inter = features.intersection_size(&node.features);
-            if inter == 0 {
+        let top = with_scratch(|scratch| {
+            idx.lsh_candidates_into(Some(part), features, scratch);
+            if sampled {
+                m.lsh_candidates.record(scratch.touched().len() as u64);
+            }
+            if scratch.touched().is_empty() {
+                m.classifier_skipped_total.inc();
+            }
+            // exact re-scoring of the pruned candidates — scratch counts are
+            // band collisions here, NOT intersections, so the true |A ∩ B|
+            // comes from a feature-set merge per candidate
+            self.top_k(scratch.touched().iter().filter_map(|&n| {
+                let node = &kb.nodes()[n as usize].features;
+                let inter = features.intersection_size(node);
                 // an LSH false positive with zero overlap could never be a
                 // candidate on the exact path; keep the score sets aligned
-                continue;
-            }
-            let score = self
-                .measure
-                .score_from_counts(inter, a_len, node.features.len());
-            Self::heap_offer(&mut heap, k, HeapEntry { score, idx: n });
-        }
-        let top = Self::heap_into_sorted(heap);
+                (inter > 0).then(|| HeapEntry {
+                    score: self
+                        .measure
+                        .score_from_counts(inter, features.len(), node.len()),
+                    idx: n,
+                })
+            }))
+        });
         Self::emit_codes(kb, top)
     }
 
-    /// Bounded-heap top-k over the accumulated counts: keeps the `top_nodes`
-    /// best (score desc, node index asc) without sorting all candidates.
-    /// `b_len` supplies each node's feature-set cardinality — the only
-    /// per-node fact the scorer needs, so both the live knowledge base and
-    /// the sealed segment can drive it.
-    fn select_top_nodes(
-        &self,
-        a_len: usize,
-        scratch: &ScoreScratch,
-        b_len: impl Fn(u32) -> usize,
-    ) -> Vec<(f64, usize)> {
+    /// Bounded-heap top-k: keeps the `top_nodes` best scored nodes (score
+    /// desc, node index asc) without sorting all candidates, and returns
+    /// them in that order.
+    fn top_k(&self, scored: impl Iterator<Item = HeapEntry>) -> Vec<(f64, usize)> {
         let k = self.top_nodes;
         if k == 0 {
             return Vec::new();
         }
         // min-heap of the k best so far: the root is the worst kept entry
-        let mut heap: BinaryHeap<std::cmp::Reverse<HeapEntry>> = BinaryHeap::with_capacity(k + 1);
-        for &n in scratch.touched() {
-            let score = self
-                .measure
-                .score_from_counts(scratch.count(n) as usize, a_len, b_len(n));
-            Self::heap_offer(&mut heap, k, HeapEntry { score, idx: n });
+        let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::with_capacity(k + 1);
+        for entry in scored {
+            if heap.len() < k {
+                heap.push(Reverse(entry));
+            } else if entry > heap.peek().expect("heap non-empty").0 {
+                heap.pop();
+                heap.push(Reverse(entry));
+            }
         }
-        Self::heap_into_sorted(heap)
-    }
-
-    /// Offer one entry to the bounded min-heap of the `k` best.
-    #[inline]
-    fn heap_offer(heap: &mut BinaryHeap<std::cmp::Reverse<HeapEntry>>, k: usize, entry: HeapEntry) {
-        if heap.len() < k {
-            heap.push(std::cmp::Reverse(entry));
-        } else if entry > heap.peek().expect("heap non-empty").0 {
-            heap.pop();
-            heap.push(std::cmp::Reverse(entry));
-        }
-    }
-
-    /// Drain the bounded heap into (score desc, node index asc) order.
-    fn heap_into_sorted(heap: BinaryHeap<std::cmp::Reverse<HeapEntry>>) -> Vec<(f64, usize)> {
         let mut top: Vec<(f64, usize)> = heap
             .into_iter()
-            .map(|std::cmp::Reverse(e)| (e.score, e.idx as usize))
+            .map(|Reverse(e)| (e.score, e.idx as usize))
             .collect();
         top.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         top
@@ -364,108 +257,20 @@ impl RankedKnn {
         out
     }
 
-    /// The original per-candidate set-intersection path: candidate selection
-    /// via [`KnowledgeBase::candidates`], then a full re-intersection of
-    /// every candidate's feature set, a full sort, and truncation. Kept as
-    /// the differential oracle for [`RankedKnn::rank`] and as the baseline
-    /// side of the `classify_bundle` / `candidate` benches — not used on any
-    /// production path.
-    pub fn rank_naive(
-        &self,
-        kb: &KnowledgeBase,
-        part_id: &str,
-        features: &FeatureSet,
-    ) -> Vec<ScoredCode> {
-        let candidates = kb.candidates(part_id, features);
-        let mut scored: Vec<(f64, usize)> = candidates
-            .into_iter()
-            .map(|i| (self.measure.score(features, &kb.nodes()[i].features), i))
-            .collect();
-        // descending score; ties by node order for determinism
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.truncate(self.top_nodes);
-
-        let mut out: Vec<ScoredCode> = Vec::with_capacity(scored.len());
-        for (score, idx) in scored {
-            let code = &kb.nodes()[idx].error_code;
-            match out.iter_mut().find(|s| &s.code == code) {
-                Some(existing) => {
-                    if score > existing.score {
-                        existing.score = score;
-                    }
-                }
-                None => out.push(ScoredCode {
-                    code: code.clone(),
-                    score,
-                }),
-            }
-        }
-        // dedup can disturb order only if a later duplicate improved a score;
-        // re-sort for the final ranking
-        out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.code.cmp(&b.code)));
-        out
-    }
-
-    /// Classify a batch of bundles in parallel: queries fan out across
-    /// scoped worker threads, each with its own [`ScoreScratch`], against
-    /// the shared (read-only) knowledge base. Output order matches query
-    /// order and every ranking is identical to a sequential
-    /// [`RankedKnn::rank`] call, whatever the thread count.
-    pub fn classify_batch(
-        &self,
-        kb: &KnowledgeBase,
-        queries: &[BatchQuery<'_>],
-    ) -> Vec<Vec<ScoredCode>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.classify_batch_with_threads(kb, queries, threads)
-    }
-
-    /// [`RankedKnn::classify_batch`] with an explicit worker-thread cap.
-    pub fn classify_batch_with_threads(
-        &self,
-        kb: &KnowledgeBase,
-        queries: &[BatchQuery<'_>],
-        threads: usize,
-    ) -> Vec<Vec<ScoredCode>> {
-        let m = crate::metrics::metrics();
-        let _span = qatk_obs::Timer::start(m.batch_wall_ns);
-        m.batch_total.inc();
-        m.batch_size.record(queries.len() as u64);
-        let threads = threads.clamp(1, queries.len().max(1));
-        if threads == 1 {
-            m.batch_workers.set(1);
-            let _busy = qatk_obs::Timer::start(m.batch_worker_busy_ns);
-            let mut scratch = ScoreScratch::new();
-            return queries
-                .iter()
-                .map(|q| self.rank_with(kb, q.part_id, q.features, &mut scratch))
-                .collect();
-        }
-        let mut out: Vec<Vec<ScoredCode>> = Vec::new();
-        out.resize_with(queries.len(), Vec::new);
-        let chunk = queries.len().div_ceil(threads);
-        m.batch_workers.set(queries.len().div_ceil(chunk) as i64);
-        std::thread::scope(|s| {
-            for (qchunk, ochunk) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    let _busy = qatk_obs::Timer::start(m.batch_worker_busy_ns);
-                    let mut scratch = ScoreScratch::new();
-                    for (q, slot) in qchunk.iter().zip(ochunk.iter_mut()) {
-                        *slot = self.rank_with(kb, q.part_id, q.features, &mut scratch);
-                    }
-                });
-            }
-        });
-        out
-    }
-
     /// Rank position (0-based) of the true code in the recommendation list,
     /// if present.
     pub fn rank_of(&self, ranked: &[ScoredCode], truth: &str) -> Option<usize> {
         ranked.iter().position(|s| s.code == truth)
     }
+}
+
+/// Run `f` on this thread's score scratch — one per thread, shared by both
+/// [`RankedKnn`] ranking paths (neither re-enters the other while holding it).
+fn with_scratch<R>(f: impl FnOnce(&mut ScoreScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<ScoreScratch> = RefCell::default();
+    }
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 /// The *standard* unweighted instance-based kNN of paper Fig. 6 — majority
@@ -556,6 +361,11 @@ mod tests {
         FeatureSet::from_unsorted(ids.to_vec())
     }
 
+    /// Exact ranking over a freshly sealed index of `kb`.
+    fn rank(knn: &RankedKnn, kb: &KnowledgeBase, part_id: &str, q: &FeatureSet) -> Vec<ScoredCode> {
+        knn.rank(&SealedIndex::build(kb), kb, part_id, q)
+    }
+
     fn kb() -> KnowledgeBase {
         let mut kb = KnowledgeBase::new();
         kb.insert("P-01", "E100", fs(&[1, 2, 3]));
@@ -569,7 +379,7 @@ mod tests {
     #[test]
     fn ranks_by_similarity() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[1, 2, 3]));
         // E100 node [1,2,3] scores 1.0; E200 scores 3/6; E300 shares nothing
         assert_eq!(ranked[0].code, "E100");
         assert!((ranked[0].score - 1.0).abs() < 1e-12);
@@ -581,7 +391,7 @@ mod tests {
     #[test]
     fn codes_deduplicated_with_best_score() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[2, 3]));
         // Two E100 nodes match; the exact [2,3] one scores 1.0
         let e100 = ranked.iter().find(|s| s.code == "E100").unwrap();
         assert!((e100.score - 1.0).abs() < 1e-12);
@@ -591,7 +401,7 @@ mod tests {
     #[test]
     fn respects_part_filter() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[1, 2, 3]));
         assert!(ranked.iter().all(|s| s.code != "E900"));
     }
 
@@ -605,7 +415,7 @@ mod tests {
             top_nodes: 25,
             measure: SimilarityMeasure::Jaccard,
         };
-        let ranked = knn.rank(&kb, "P-01", &fs(&[1]));
+        let ranked = rank(&knn, &kb, "P-01", &fs(&[1]));
         assert_eq!(ranked.len(), 25);
     }
 
@@ -623,7 +433,7 @@ mod tests {
             top_nodes: 2,
             measure: SimilarityMeasure::Jaccard,
         };
-        let ranked = knn.rank(&kb, "P", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb, "P", &fs(&[1, 2, 3]));
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].code, "EAAA");
         // the surviving code carries the best of its nodes' scores
@@ -638,7 +448,7 @@ mod tests {
         kb.insert("P", "EA", fs(&[1, 6])); // 0.5 — ties with EC
         kb.insert("P", "EB", fs(&[1])); // 1.0
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb, "P", &fs(&[1]));
+        let ranked = rank(&knn, &kb, "P", &fs(&[1]));
         let codes: Vec<&str> = ranked.iter().map(|s| s.code.as_str()).collect();
         assert_eq!(codes, ["EB", "EA", "EC", "ED"]);
         for w in ranked.windows(2) {
@@ -649,42 +459,12 @@ mod tests {
     #[test]
     fn empty_feature_query_yields_empty_ranking_for_known_part() {
         let knn = RankedKnn::default();
-        let ranked = knn.rank(&kb(), "P-01", &FeatureSet::default());
+        let ranked = rank(&knn, &kb(), "P-01", &FeatureSet::default());
         assert!(ranked.is_empty());
         // … but an unknown part still gets the whole-KB fallback, scored 0
-        let fallback = knn.rank(&kb(), "P-??", &FeatureSet::default());
+        let fallback = rank(&knn, &kb(), "P-??", &FeatureSet::default());
         assert!(!fallback.is_empty());
         assert!(fallback.iter().all(|s| s.score == 0.0));
-    }
-
-    #[test]
-    fn batch_results_independent_of_thread_count() {
-        let kb = kb();
-        let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let queries_owned = [
-            ("P-01", fs(&[1, 2, 3])),
-            ("P-01", fs(&[2, 3])),
-            ("P-02", fs(&[1, 2, 3])),
-            ("P-??", fs(&[777])),
-            ("P-01", fs(&[])),
-        ];
-        let queries: Vec<BatchQuery<'_>> = queries_owned
-            .iter()
-            .map(|(p, f)| BatchQuery {
-                part_id: p,
-                features: f,
-            })
-            .collect();
-        let expected: Vec<Vec<ScoredCode>> = queries
-            .iter()
-            .map(|q| knn.rank(&kb, q.part_id, q.features))
-            .collect();
-        for threads in [1, 2, 3, 8] {
-            let got = knn.classify_batch_with_threads(&kb, &queries, threads);
-            assert_eq!(got, expected, "divergence at {threads} threads");
-        }
-        assert_eq!(knn.classify_batch(&kb, &queries), expected);
-        assert!(knn.classify_batch(&kb, &[]).is_empty());
     }
 
     #[test]
@@ -694,9 +474,9 @@ mod tests {
         kb.insert("P-01", "BIG", fs(&[1, 2, 3, 4, 5, 6, 7, 8]));
         let q = fs(&[1, 2, 9]);
         // Jaccard penalizes the big set less than overlap rewards small sets
-        let j = RankedKnn::new(SimilarityMeasure::Jaccard).rank(&kb, "P-01", &q);
+        let j = rank(&RankedKnn::new(SimilarityMeasure::Jaccard), &kb, "P-01", &q);
         assert_eq!(j[0].code, "SMALL"); // 2/3 vs 2/9
-        let o = RankedKnn::new(SimilarityMeasure::Overlap).rank(&kb, "P-01", &q);
+        let o = rank(&RankedKnn::new(SimilarityMeasure::Overlap), &kb, "P-01", &q);
         assert_eq!(o[0].code, "SMALL"); // 2/2 vs 2/3
         assert!((o[0].score - 1.0).abs() < 1e-12);
     }
@@ -707,7 +487,7 @@ mod tests {
         kb.insert("P-01", "EB", fs(&[1]));
         kb.insert("P-01", "EA", fs(&[1]));
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb, "P-01", &fs(&[1]));
+        let ranked = rank(&knn, &kb, "P-01", &fs(&[1]));
         // equal scores → code-lexicographic order
         assert_eq!(ranked[0].code, "EA");
         assert_eq!(ranked[1].code, "EB");
@@ -716,7 +496,7 @@ mod tests {
     #[test]
     fn rank_of_helper() {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb(), "P-01", &fs(&[1, 2, 3]));
+        let ranked = rank(&knn, &kb(), "P-01", &fs(&[1, 2, 3]));
         assert_eq!(knn.rank_of(&ranked, "E100"), Some(0));
         assert_eq!(knn.rank_of(&ranked, "E200"), Some(1));
         assert_eq!(knn.rank_of(&ranked, "E999"), None);
@@ -741,7 +521,7 @@ mod tests {
         let wide = MajorityVoteKnn::new(6, SimilarityMeasure::Jaccard);
         assert_eq!(wide.classify(&kb, "P", &q).as_deref(), Some("B"));
         // the ranked list puts A first regardless of any k choice
-        let ranked = RankedKnn::new(SimilarityMeasure::Jaccard).rank(&kb, "P", &q);
+        let ranked = rank(&RankedKnn::new(SimilarityMeasure::Jaccard), &kb, "P", &q);
         assert_eq!(ranked[0].code, "A");
     }
 
@@ -818,12 +598,12 @@ mod tests {
         let skipped_before = m.classifier_skipped_total.get();
         let queries_before = m.rank_queries_total.get();
         // 1: known part, empty features → early return, no candidates
-        assert!(knn.rank(&kb, "P-01", &FeatureSet::default()).is_empty());
+        assert!(rank(&knn, &kb, "P-01", &FeatureSet::default()).is_empty());
         // 2: known part, zero overlap → early return
-        assert!(knn.rank(&kb, "P-01", &fs(&[777])).is_empty());
+        assert!(rank(&knn, &kb, "P-01", &fs(&[777])).is_empty());
         // 3: unknown part, zero overlap anywhere → whole-KB fallback, no
         //    kernel work — still an early return for the accumulator
-        assert!(!knn.rank(&kb, "P-??", &fs(&[777])).is_empty());
+        assert!(!rank(&knn, &kb, "P-??", &fs(&[777])).is_empty());
         // 4: majority vote with empty features → None without voting
         assert_eq!(vote.classify(&kb, "P-01", &FeatureSet::default()), None);
         // 5: majority vote on an empty knowledge base
@@ -840,37 +620,13 @@ mod tests {
         // normal queries still land in the query counter (and produce
         // results, i.e. they did not take the early-return path)
         let queries_mid = m.rank_queries_total.get();
-        assert!(!knn.rank(&kb, "P-01", &fs(&[1, 2, 3])).is_empty());
+        assert!(!rank(&knn, &kb, "P-01", &fs(&[1, 2, 3])).is_empty());
         assert!(vote.classify(&kb, "P-01", &fs(&[1, 2, 3])).is_some());
         assert!(m.rank_queries_total.get() >= queries_mid + 2);
     }
 
     #[test]
-    fn rank_sealed_matches_rank_everywhere() {
-        let kb = kb();
-        let idx = SealedIndex::build(&kb);
-        let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let queries = [
-            ("P-01", fs(&[1, 2, 3])),
-            ("P-01", fs(&[2, 3])),
-            ("P-02", fs(&[1, 2, 3])),
-            ("P-01", fs(&[777])),
-            ("P-??", fs(&[1, 2])),
-            ("P-??", fs(&[777])), // unknown-part whole-KB fallback
-            ("P-01", FeatureSet::default()),
-            ("P-??", FeatureSet::default()),
-        ];
-        for (part, q) in &queries {
-            assert_eq!(
-                knn.rank_sealed(&idx, &kb, part, q),
-                knn.rank(&kb, part, q),
-                "sealed/live divergence for {part}"
-            );
-        }
-    }
-
-    #[test]
-    fn rank_sealed_pruned_finds_near_duplicates() {
+    fn rank_pruned_finds_near_duplicates() {
         // same-code near-duplicates at Jaccard ≥ 0.5 are exactly what the
         // prefilter is tuned to keep; verify the full pruned pipeline agrees
         // with the exact path on them
@@ -892,8 +648,8 @@ mod tests {
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
         // query = a near-copy of code E003's bundles
         let q = fs(&(0..12).map(|k| 150 + k + 1).collect::<Vec<_>>());
-        let exact = knn.rank_sealed(&idx, &kb, "P-01", &q);
-        let pruned = knn.rank_sealed_pruned(&idx, &kb, "P-01", &q);
+        let exact = knn.rank(&idx, &kb, "P-01", &q);
+        let pruned = knn.rank_pruned(&idx, &kb, "P-01", &q);
         assert_eq!(exact[0].code, "E003");
         assert_eq!(pruned[0].code, "E003");
         assert_eq!(pruned[0].score, exact[0].score);
@@ -904,21 +660,19 @@ mod tests {
         }
         // unknown part / empty features delegate to the exact fallbacks
         assert_eq!(
-            knn.rank_sealed_pruned(&idx, &kb, "P-??", &fs(&[9999])),
-            knn.rank(&kb, "P-??", &fs(&[9999]))
+            knn.rank_pruned(&idx, &kb, "P-??", &fs(&[9999])),
+            knn.rank(&idx, &kb, "P-??", &fs(&[9999]))
         );
         assert_eq!(
-            knn.rank_sealed_pruned(&idx, &kb, "P-01", &FeatureSet::default()),
-            knn.rank(&kb, "P-01", &FeatureSet::default())
+            knn.rank_pruned(&idx, &kb, "P-01", &FeatureSet::default()),
+            knn.rank(&idx, &kb, "P-01", &FeatureSet::default())
         );
     }
 
     #[test]
     fn empty_query_or_kb() {
         let knn = RankedKnn::default();
-        assert!(knn
-            .rank(&KnowledgeBase::new(), "P-01", &fs(&[1]))
-            .is_empty());
-        assert!(knn.rank(&kb(), "P-01", &FeatureSet::default()).is_empty());
+        assert!(rank(&knn, &KnowledgeBase::new(), "P-01", &fs(&[1])).is_empty());
+        assert!(rank(&knn, &kb(), "P-01", &FeatureSet::default()).is_empty());
     }
 }

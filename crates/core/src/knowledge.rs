@@ -6,9 +6,10 @@
 //! in a first training step. This also allows us to abstract from data
 //! instances to configuration instances, reducing the size of the knowledge
 //! base" — the kNN-Model-style fix for instance-based kNN's memory appetite.
-//! Candidate retrieval (Fig. 5) goes through two indexes: part ID and an
-//! inverted feature index ("this selection is made via the indexes of the
-//! knowledge structure").
+//! Candidate retrieval (Fig. 5) goes through two indexes: part ID, kept
+//! here, and the inverted feature index ("this selection is made via the
+//! indexes of the knowledge structure"), which
+//! [`crate::segment::SealedIndex`] derives from the nodes at seal time.
 
 use std::collections::{HashMap, HashSet};
 
@@ -30,68 +31,15 @@ pub struct KnowledgeNode {
 pub struct KnowledgeBase {
     nodes: Vec<KnowledgeNode>,
     by_part: HashMap<String, Vec<usize>>,
-    inverted: HashMap<u32, Vec<usize>>,
     dedup: HashSet<(String, String, Vec<u32>)>,
     /// Dense part index: part ID → small integer, assigned on first insert.
     part_ids: HashMap<String, u32>,
-    /// Per-node dense part index, aligned with `nodes` — lets the score
-    /// accumulator filter postings with an integer compare instead of a
-    /// string compare.
+    /// Per-node dense part index, aligned with `nodes` — lets the sealed
+    /// index filter postings with an integer compare instead of a string
+    /// compare.
     node_parts: Vec<u32>,
     /// Raw instances offered, including duplicates (for the dedup ratio).
     offered: usize,
-}
-
-/// Reusable per-thread scratch state for the posting-list score-accumulation
-/// kernel ([`KnowledgeBase::accumulate_counts`]). Holds a per-node
-/// intersection-count array plus the list of touched nodes, so a query
-/// resets in O(candidates) rather than O(knowledge base).
-#[derive(Debug, Default, Clone)]
-pub struct ScoreScratch {
-    counts: Vec<u32>,
-    touched: Vec<u32>,
-}
-
-impl ScoreScratch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Node indexes with at least one shared feature, in posting order.
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// Intersection count of a touched node.
-    pub fn count(&self, node: u32) -> u32 {
-        self.counts[node as usize]
-    }
-
-    fn reset(&mut self, n_nodes: usize) {
-        if self.counts.len() < n_nodes {
-            self.counts.resize(n_nodes, 0);
-        }
-        for &t in &self.touched {
-            self.counts[t as usize] = 0;
-        }
-        self.touched.clear();
-    }
-
-    /// Clear for a new query over `n_nodes` nodes — the entry point for
-    /// external accumulators ([`crate::segment::SealedIndex`]).
-    pub(crate) fn begin(&mut self, n_nodes: usize) {
-        self.reset(n_nodes);
-    }
-
-    /// Register one posting hit for `node` (first hit records it as touched).
-    #[inline]
-    pub(crate) fn bump(&mut self, node: u32) {
-        let c = &mut self.counts[node as usize];
-        if *c == 0 {
-            self.touched.push(node);
-        }
-        *c += 1;
-    }
 }
 
 impl KnowledgeBase {
@@ -120,9 +68,6 @@ impl KnowledgeBase {
         let next_part = self.part_ids.len() as u32;
         let part_idx = *self.part_ids.entry(part_id.clone()).or_insert(next_part);
         self.node_parts.push(part_idx);
-        for f in features.iter() {
-            self.inverted.entry(f).or_default().push(idx);
-        }
         self.nodes.push(KnowledgeNode {
             part_id,
             error_code,
@@ -175,21 +120,6 @@ impl KnowledgeBase {
         &self.node_parts
     }
 
-    /// The largest feature id appearing in any node, if the inverted index
-    /// is non-empty.
-    pub fn max_feature_id(&self) -> Option<u32> {
-        self.inverted.keys().copied().max()
-    }
-
-    /// The inverted-index posting list of a feature: node indexes in
-    /// ascending order (inserts only ever append growing indexes).
-    pub fn postings_for(&self, feature: u32) -> &[usize] {
-        self.inverted
-            .get(&feature)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// All known part IDs (arbitrary order).
     pub fn parts(&self) -> impl Iterator<Item = &str> {
         self.by_part.keys().map(String::as_str)
@@ -214,69 +144,14 @@ impl KnowledgeBase {
     /// Candidate set generation (paper Fig. 5): nodes with the same part ID
     /// sharing ≥ 1 feature; if the part ID is unknown, *all* nodes sharing
     /// ≥ 1 feature ("If the part ID is not found in the knowledge structure,
-    /// we select all nodes into our neighbor candidate set").
+    /// we select all nodes into our neighbor candidate set"), or the whole
+    /// knowledge base when none does.
     ///
-    /// Uses the inverted feature index; returns sorted node indexes.
+    /// A full scan of the part's nodes, returning sorted node indexes — the
+    /// reference semantics for the baselines and the majority-vote ablation.
+    /// Ranking itself never calls this: [`crate::classifier::RankedKnn`]
+    /// selects the same nodes off the sealed posting arena.
     pub fn candidates(&self, part_id: &str, features: &FeatureSet) -> Vec<usize> {
-        let part_known = self.has_part(part_id);
-        let mut seen: HashSet<usize> = HashSet::new();
-        for f in features.iter() {
-            if let Some(nodes) = self.inverted.get(&f) {
-                for &n in nodes {
-                    if !part_known || self.nodes[n].part_id == part_id {
-                        seen.insert(n);
-                    }
-                }
-            }
-        }
-        // Unknown part with zero feature overlap anywhere: fall back to the
-        // entire knowledge base, as the paper specifies for unseen part IDs.
-        if !part_known && seen.is_empty() {
-            return (0..self.nodes.len()).collect();
-        }
-        let mut out: Vec<usize> = seen.into_iter().collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Posting-list score accumulation — the kernel behind
-    /// [`crate::classifier::RankedKnn::rank`]. Walks the inverted index once
-    /// per query and accumulates `|A ∩ B|` per candidate node into
-    /// `scratch`, applying the part filter of [`KnowledgeBase::candidates`]
-    /// inline (known part: only that part's nodes; unknown part: every node
-    /// sharing ≥ 1 feature). Unlike `candidates`, this produces the
-    /// intersection counts as a by-product, so the classifier never has to
-    /// re-intersect feature sets — one pass replaces the
-    /// build-candidate-set → re-intersect double pass.
-    ///
-    /// The unknown-part zero-overlap fallback ("select all nodes") is *not*
-    /// applied here; callers detect `scratch.touched().is_empty()` and
-    /// handle it (the classifier scores that fallback as all-zero anyway).
-    pub fn accumulate_counts(
-        &self,
-        part_id: &str,
-        features: &FeatureSet,
-        scratch: &mut ScoreScratch,
-    ) {
-        scratch.reset(self.nodes.len());
-        let part = self.part_ids.get(part_id).copied();
-        for f in features.iter() {
-            if let Some(postings) = self.inverted.get(&f) {
-                for &n in postings {
-                    if part.is_none_or(|p| self.node_parts[n] == p) {
-                        if scratch.counts[n] == 0 {
-                            scratch.touched.push(n as u32);
-                        }
-                        scratch.counts[n] += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Naive candidate generation without the inverted index (full scan of
-    /// the part's nodes) — the ablation comparator for the `candidate` bench.
-    pub fn candidates_scan(&self, part_id: &str, features: &FeatureSet) -> Vec<usize> {
         if !self.has_part(part_id) {
             let hits: Vec<usize> = (0..self.nodes.len())
                 .filter(|&i| self.nodes[i].features.intersects(features))
@@ -416,24 +291,6 @@ mod tests {
         // unknown part, no shared features → the whole knowledge base
         let c = kb.candidates("P-99", &fs(&[777]));
         assert_eq!(c, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn scan_matches_indexed_candidates() {
-        let kb = kb();
-        for (part, feats) in [
-            ("P-01", fs(&[3])),
-            ("P-01", fs(&[1, 5])),
-            ("P-02", fs(&[2])),
-            ("P-99", fs(&[2])),
-            ("P-99", fs(&[777])),
-        ] {
-            let mut a = kb.candidates(part, &feats);
-            let mut b = kb.candidates_scan(part, &feats);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "mismatch for {part}");
-        }
     }
 
     #[test]

@@ -7,17 +7,18 @@
 //!
 //! * [`interner`] / [`features`] — feature spaces and the three data
 //!   abstraction models;
-//! * [`knowledge`] — the deduplicated knowledge base with part-ID and
-//!   inverted-feature indexes, persisted relationally;
+//! * [`knowledge`] — the deduplicated knowledge base with its part-ID
+//!   index, persisted relationally;
 //! * [`similarity`] — Jaccard and overlap (paper) plus Dice/cosine
 //!   (extensions);
-//! * [`classifier`] — the ranked-list kNN of §4.3;
+//! * [`classifier`] — the ranked-list kNN of §4.3, one kernel over the
+//!   sealed index;
 //! * [`zoo`] — the pluggable classifier zoo ([`zoo::Classifier`] trait:
 //!   kNN, centroid/Rocchio, multinomial naive Bayes, one-vs-rest logistic
 //!   regression) trained at snapshot seal time;
-//! * [`segment`] / [`lsh`] — the sealed-snapshot index segment:
-//!   delta+varint-compressed posting arena and the minhash/LSH candidate
-//!   prefilter for million-node corpora;
+//! * [`segment`] / [`lsh`] — the sealed-snapshot index segment, the only
+//!   posting format ranking reads: delta+varint-compressed posting arena
+//!   and the minhash/LSH candidate prefilter for million-node corpora;
 //! * [`baselines`] — the code-frequency and candidate-set baselines of §5.1;
 //! * [`eval`] — Accuracy@k and stratified k-fold CV;
 //! * [`pipeline`] — end-to-end experiment orchestration with parallel folds
@@ -66,7 +67,7 @@ pub mod prelude {
         WordExtractor,
     };
     pub use crate::interner::Interner;
-    pub use crate::knowledge::{KnowledgeBase, KnowledgeNode, ScoreScratch};
+    pub use crate::knowledge::{KnowledgeBase, KnowledgeNode};
     pub use crate::lsh::{LshIndex, LshParams};
     pub use crate::pipeline::{
         build_pipeline, run_experiment, AccuracyCurve, ClassifierConfig, ExperimentResult,

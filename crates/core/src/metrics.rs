@@ -28,16 +28,16 @@ pub struct CoreMetrics {
     pub lsh_candidates: &'static Histogram,
     /// Wall time of one ranked-kNN query (ns).
     pub rank_latency_ns: &'static Histogram,
-    /// `classify_batch` invocations.
+    /// `Classifier::rank_batch` fan-outs, every family.
     pub batch_total: &'static Counter,
-    /// Queries per `classify_batch` call.
+    /// Queries per batch.
     pub batch_size: &'static Histogram,
     /// Worker threads used by the most recent batch.
     pub batch_workers: &'static Gauge,
     /// Per-worker busy time inside a batch (ns) — compare against
     /// `qatk_core_batch_wall_ns` for utilization.
     pub batch_worker_busy_ns: &'static Histogram,
-    /// Wall time of one whole `classify_batch` call (ns).
+    /// Wall time of one whole batch (ns).
     pub batch_wall_ns: &'static Histogram,
     /// Ranking queries attributed to each classifier family — incremented
     /// by the [`crate::zoo::RankerModel`] dispatch layer (one bump per
@@ -96,23 +96,23 @@ pub fn metrics() -> &'static CoreMetrics {
             ),
             batch_total: r.counter(
                 "qatk_core_batch_total",
-                "classify_batch invocations",
+                "rank_batch fan-outs (every classifier family)",
             ),
             batch_size: r.histogram(
                 "qatk_core_batch_size",
-                "queries per classify_batch call",
+                "queries per rank_batch call",
             ),
             batch_workers: r.gauge(
                 "qatk_core_batch_workers",
-                "worker threads used by the most recent classify_batch",
+                "worker threads used by the most recent rank_batch",
             ),
             batch_worker_busy_ns: r.histogram(
                 "qatk_core_batch_worker_busy_ns",
-                "per-worker busy time inside classify_batch (ns)",
+                "per-worker busy time inside rank_batch (ns)",
             ),
             batch_wall_ns: r.histogram(
                 "qatk_core_batch_wall_ns",
-                "classify_batch wall time (ns)",
+                "rank_batch wall time (ns)",
             ),
             rank_family_knn_total: r.counter(
                 "qatk_core_rank_family_knn_total",

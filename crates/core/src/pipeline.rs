@@ -219,7 +219,7 @@ fn run_fold(
     let start = Instant::now();
 
     // extract the test bundles' features, then classify the whole fold as
-    // one parallel batch (per-thread scratch state inside classify_batch)
+    // one parallel batch (kNN seals the fold's index once for the batch)
     let mut test_set: Vec<(usize, &DataBundle, FeatureSet)> = Vec::new();
     for (i, b) in bundles.iter().enumerate() {
         if fold_of[i] != fold {

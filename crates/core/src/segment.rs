@@ -1,16 +1,12 @@
-//! Sealed immutable index segments: every posting list delta+varint-encoded
-//! into one contiguous byte arena, built once at snapshot seal time.
+//! The sealed index segment: every posting list delta+varint-encoded into
+//! one contiguous byte arena, built once at snapshot seal time. It is the
+//! only posting format ranking reads — the knowledge base keeps nodes and
+//! part indexes, and [`SealedIndex::build`] derives the postings from them:
 //!
-//! The live [`crate::knowledge::KnowledgeBase`] keeps its inverted index as
-//! `HashMap<u32, Vec<usize>>` — ideal for incremental inserts, terrible for
-//! scanning a million-entry posting list: 8 bytes per node index, scattered
-//! allocations, hash probing per feature. At seal time this module lays the
-//! same postings out the way a search engine segment does:
-//!
-//! * node indexes are sorted ascending (insertion already guarantees it), so
-//!   each list is stored as **deltas** between consecutive ids;
+//! * node indexes are sorted ascending (nodes are visited in insertion
+//!   order), so each list is stored as **deltas** between consecutive ids;
 //! * deltas are **LEB128 varints** — dense lists (hot boilerplate features)
-//!   collapse to ~1 byte per posting, an 8× size cut over the `Vec<usize>`
+//!   collapse to ~1 byte per posting, an 8× size cut over a `Vec<usize>`
 //!   representation, which is a memory-bandwidth cut on every query;
 //! * all lists live in **one `Vec<u8>` arena** indexed by a flat offset
 //!   table, so a query's feature walk is a few contiguous forward scans.
@@ -34,8 +30,51 @@
 use std::fmt;
 
 use crate::features::FeatureSet;
-use crate::knowledge::{KnowledgeBase, ScoreScratch};
+use crate::knowledge::KnowledgeBase;
 use crate::lsh::LshIndex;
+
+/// Reusable per-thread scratch state for the score-accumulation kernels of
+/// [`SealedIndex`]. Holds a per-node intersection-count array plus the list
+/// of touched nodes, so a query resets in O(candidates) rather than
+/// O(knowledge base).
+#[derive(Debug, Default)]
+pub(crate) struct ScoreScratch {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl ScoreScratch {
+    /// Node indexes with at least one hit, in posting order.
+    pub(crate) fn touched(&self) -> &[u32] {
+        &self.touched
+    }
+
+    /// Hit count of a touched node.
+    pub(crate) fn count(&self, node: u32) -> u32 {
+        self.counts[node as usize]
+    }
+
+    /// Clear for a new query over `n_nodes` nodes.
+    fn begin(&mut self, n_nodes: usize) {
+        if self.counts.len() < n_nodes {
+            self.counts.resize(n_nodes, 0);
+        }
+        for &t in &self.touched {
+            self.counts[t as usize] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// Register one hit for `node` (first hit records it as touched).
+    #[inline]
+    fn bump(&mut self, node: u32) {
+        let c = &mut self.counts[node as usize];
+        if *c == 0 {
+            self.touched.push(node);
+        }
+        *c += 1;
+    }
+}
 
 /// Decode failure on untrusted input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,8 +314,7 @@ impl PostingArena {
 /// The immutable per-snapshot index segment: compressed postings, per-node
 /// metadata, and the minhash/LSH prefilter. Built by [`SealedIndex::build`]
 /// at snapshot seal time; node indexes are identical to the knowledge base's
-/// (no reordering), so rankings computed here tie-break exactly like the
-/// `KnowledgeBase` paths.
+/// (no reordering), so the knowledge base resolves every node it returns.
 #[derive(Debug, Default, Clone)]
 pub struct SealedIndex {
     n_nodes: usize,
@@ -290,27 +328,45 @@ pub struct SealedIndex {
 }
 
 impl SealedIndex {
-    /// Build the segment from a knowledge base: encode every posting list
-    /// into the arena and index every node into the LSH tables.
+    /// Build the segment from a knowledge base: bucket every node's features
+    /// into per-feature posting lists, encode them into the arena, and index
+    /// every node into the LSH tables.
     pub fn build(kb: &KnowledgeBase) -> SealedIndex {
-        let n_nodes = kb.len();
-        let node_parts = kb.node_parts().to_vec();
-        let node_lens: Vec<u32> = kb.nodes().iter().map(|n| n.features.len() as u32).collect();
-        let n_features = kb.max_feature_id().map(|m| m as usize + 1).unwrap_or(0);
-        let mut postings = PostingArena::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for f in 0..n_features {
-            ids.clear();
-            ids.extend(kb.postings_for(f as u32).iter().map(|&n| n as u32));
-            postings.push_list(&ids);
+        let nodes = kb.nodes();
+        let node_lens: Vec<u32> = nodes.iter().map(|n| n.features.len() as u32).collect();
+        // counting sort of (feature, node) pairs: `starts[f]..starts[f + 1]`
+        // is feature f's slice of `flat`, filled in node order, so every
+        // list comes out sorted
+        let n_features = nodes
+            .iter()
+            .filter_map(|n| n.features.ids().last())
+            .max()
+            .map_or(0, |&m| m as usize + 1);
+        let mut starts = vec![0usize; n_features + 1];
+        for node in nodes {
+            for f in node.features.iter() {
+                starts[f as usize + 1] += 1;
+            }
         }
-        let lsh = LshIndex::build(
-            kb.nodes().iter().map(|n| n.features.ids()),
-            Default::default(),
-        );
+        for f in 0..n_features {
+            starts[f + 1] += starts[f];
+        }
+        let mut fill = starts.clone();
+        let mut flat = vec![0u32; starts[n_features]];
+        for (n, node) in nodes.iter().enumerate() {
+            for f in node.features.iter() {
+                flat[fill[f as usize]] = n as u32;
+                fill[f as usize] += 1;
+            }
+        }
+        let mut postings = PostingArena::new();
+        for f in 0..n_features {
+            postings.push_list(&flat[starts[f]..starts[f + 1]]);
+        }
+        let lsh = LshIndex::build(nodes.iter().map(|n| n.features.ids()), Default::default());
         SealedIndex {
-            n_nodes,
-            node_parts,
+            n_nodes: nodes.len(),
+            node_parts: kb.node_parts().to_vec(),
             node_lens,
             postings,
             lsh,
@@ -346,11 +402,10 @@ impl SealedIndex {
 
     /// The exact score-accumulation kernel over compressed postings: walks
     /// each query feature's list block-at-a-time and accumulates |A ∩ B| per
-    /// node into `scratch`, applying the same inline part filter as
-    /// [`KnowledgeBase::accumulate_counts`] (`Some(p)`: only part `p`'s
-    /// nodes; `None`: every node). Counts and touched sets are identical to
-    /// the `HashMap` path — only the memory layout differs.
-    pub fn accumulate_into(
+    /// node into `scratch`, filtering parts inline (`Some(p)`: only part
+    /// `p`'s nodes; `None`: every node). One pass yields both the candidate
+    /// set of paper Fig. 5 and every candidate's intersection count.
+    pub(crate) fn accumulate_into(
         &self,
         part: Option<u32>,
         features: &FeatureSet,
@@ -393,7 +448,7 @@ impl SealedIndex {
     /// to the same part filter as the exact kernel. The touched nodes carry
     /// band-collision counts, NOT intersection counts — callers re-score
     /// candidates exactly against the query feature set.
-    pub fn lsh_candidates_into(
+    pub(crate) fn lsh_candidates_into(
         &self,
         part: Option<u32>,
         features: &FeatureSet,
@@ -540,18 +595,23 @@ mod tests {
             ("P-01", FeatureSet::default()),
         ];
         for (part_id, q) in &queries {
-            let mut a = ScoreScratch::new();
-            kb.accumulate_counts(part_id, q, &mut a);
-            let mut b = ScoreScratch::new();
-            idx.accumulate_into(kb.part_index(part_id), q, &mut b);
-            let mut ta: Vec<u32> = a.touched().to_vec();
-            let mut tb: Vec<u32> = b.touched().to_vec();
-            ta.sort_unstable();
-            tb.sort_unstable();
-            assert_eq!(ta, tb, "touched mismatch for {part_id}");
-            for &n in &ta {
-                assert_eq!(a.count(n), b.count(n), "count mismatch at node {n}");
-            }
+            let part = kb.part_index(part_id);
+            let mut s = ScoreScratch::default();
+            idx.accumulate_into(part, q, &mut s);
+            let mut touched: Vec<u32> = s.touched().to_vec();
+            touched.sort_unstable();
+            // brute force: every node of the part (any node, for an unknown
+            // part) sharing a feature, with its true intersection size
+            let expect: Vec<(u32, u32)> = kb
+                .nodes()
+                .iter()
+                .enumerate()
+                .filter(|&(n, _)| part.is_none_or(|p| kb.node_parts()[n] == p))
+                .map(|(n, node)| (n as u32, q.intersection_size(&node.features) as u32))
+                .filter(|&(_, inter)| inter > 0)
+                .collect();
+            let got: Vec<(u32, u32)> = touched.iter().map(|&n| (n, s.count(n))).collect();
+            assert_eq!(got, expect, "counts mismatch for {part_id}");
         }
     }
 
@@ -559,8 +619,13 @@ mod tests {
     fn sealed_postings_are_compressed_kb_postings() {
         let kb = test_kb();
         let idx = SealedIndex::build(&kb);
-        for f in 0..=kb.max_feature_id().unwrap() {
-            let expect: Vec<u32> = kb.postings_for(f).iter().map(|&n| n as u32).collect();
+        // one list per feature id up to the largest (9), each listing the
+        // nodes holding that feature in ascending order
+        assert_eq!(idx.postings().n_lists(), 10);
+        for f in 0..10u32 {
+            let expect: Vec<u32> = (0..kb.len() as u32)
+                .filter(|&n| kb.nodes()[n as usize].features.contains(f))
+                .collect();
             assert_eq!(
                 idx.postings().decode_list(f as usize),
                 expect,
@@ -576,7 +641,7 @@ mod tests {
         let idx = SealedIndex::build(&KnowledgeBase::new());
         assert_eq!(idx.n_nodes(), 0);
         assert_eq!(idx.postings().n_lists(), 0);
-        let mut s = ScoreScratch::new();
+        let mut s = ScoreScratch::default();
         idx.accumulate_into(None, &fs(&[1, 2]), &mut s);
         assert!(s.touched().is_empty());
         idx.lsh_candidates_into(None, &fs(&[1, 2]), &mut s);

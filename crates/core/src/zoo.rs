@@ -14,7 +14,8 @@
 //!   epoch swap publishes both atomically;
 //! * [`Classifier`] is the `&self` serving interface every family
 //!   implements: rank one query, or a batch, against a knowledge base
-//!   (with an optional sealed index for families that can use it).
+//!   (with an optional sealed index for families that can use it). Batches
+//!   fan out across scoped worker threads in one place for every family.
 //!
 //! All families share the paper's ranking conventions so the serving layer
 //! is family-agnostic: scores sort descending with a code-text tie-break,
@@ -33,7 +34,7 @@ use crate::similarity::SimilarityMeasure;
 /// A classifier family the zoo can train and serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassifierFamily {
-    /// Ranked-list kNN over the posting-list kernel (the paper's model).
+    /// Ranked-list kNN over the sealed posting-list kernel (the paper's model).
     Knn,
     /// Centroid/Rocchio: cosine against one mean vector per (part, code).
     Centroid,
@@ -161,9 +162,9 @@ pub trait Classifier: Send + Sync {
     fn family(&self) -> ClassifierFamily;
 
     /// Rank error codes for one query. `index` is the sealed posting-list
-    /// segment of the same knowledge base when the caller has one; families
-    /// that cannot use it simply ignore it — results must not depend on
-    /// whether it is passed.
+    /// segment of the same knowledge base when the caller has one; kNN seals
+    /// a throwaway one when it is absent, the other families ignore it —
+    /// results never depend on whether it is passed.
     fn rank(
         &self,
         kb: &KnowledgeBase,
@@ -218,16 +219,7 @@ impl Classifier for RankerModel {
         let _span = qatk_trace::child_span("core.rank");
         qatk_trace::annotate("family", self.family().label());
         qatk_trace::annotate("features", features.len() as u64);
-        match self {
-            RankerModel::Knn(knn) => match index {
-                // bit-identical paths (asserted by rank_sealed_matches_rank_everywhere)
-                Some(idx) => knn.rank_sealed(idx, kb, part_id, features),
-                None => knn.rank(kb, part_id, features),
-            },
-            RankerModel::Centroid(model) => model.rank(kb, part_id, features),
-            RankerModel::NaiveBayes(model) => model.rank(kb, part_id, features),
-            RankerModel::Logistic(model) => model.rank(kb, part_id, features),
-        }
+        self.rank_one(kb, index, part_id, features)
     }
 
     fn rank_batch(
@@ -240,42 +232,20 @@ impl Classifier for RankerModel {
         m.rank_family_total(self.family()).add(queries.len() as u64);
         let _span = qatk_trace::child_span("core.rank_batch");
         qatk_trace::annotate("queries", queries.len() as u64);
-        match self {
-            // the kNN batch path keeps its scoped-worker kernel fan-out
-            RankerModel::Knn(knn) => knn.classify_batch(kb, queries),
-            _ => {
-                let threads = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .clamp(1, queries.len().max(1));
-                if threads == 1 {
-                    return queries
-                        .iter()
-                        .map(|q| self.rank_inner(kb, index, q.part_id, q.features))
-                        .collect();
-                }
-                let mut out: Vec<Vec<ScoredCode>> = Vec::new();
-                out.resize_with(queries.len(), Vec::new);
-                let chunk = queries.len().div_ceil(threads);
-                std::thread::scope(|s| {
-                    for (qchunk, ochunk) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                        s.spawn(move || {
-                            for (q, slot) in qchunk.iter().zip(ochunk.iter_mut()) {
-                                *slot = self.rank_inner(kb, index, q.part_id, q.features);
-                            }
-                        });
-                    }
-                });
-                out
-            }
-        }
+        // kNN without a caller index seals once per batch, not per query
+        let sealed = match (self, index) {
+            (RankerModel::Knn(_), None) => Some(SealedIndex::build(kb)),
+            _ => None,
+        };
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.fan_out(kb, index.or(sealed.as_ref()), queries, threads)
     }
 }
 
 impl RankerModel {
-    /// [`Classifier::rank`] without the per-family metrics bump — batch
-    /// workers attribute the whole batch once.
-    fn rank_inner(
+    /// [`Classifier::rank`] without the per-family metrics bump and span —
+    /// batch workers attribute the whole batch once.
+    fn rank_one(
         &self,
         kb: &KnowledgeBase,
         index: Option<&SealedIndex>,
@@ -284,13 +254,54 @@ impl RankerModel {
     ) -> Vec<ScoredCode> {
         match self {
             RankerModel::Knn(knn) => match index {
-                Some(idx) => knn.rank_sealed(idx, kb, part_id, features),
-                None => knn.rank(kb, part_id, features),
+                Some(idx) => knn.rank(idx, kb, part_id, features),
+                None => knn.rank(&SealedIndex::build(kb), kb, part_id, features),
             },
             RankerModel::Centroid(model) => model.rank(kb, part_id, features),
             RankerModel::NaiveBayes(model) => model.rank(kb, part_id, features),
             RankerModel::Logistic(model) => model.rank(kb, part_id, features),
         }
+    }
+
+    /// Rank a batch across at most `threads` scoped workers, each owning a
+    /// contiguous chunk of the queries, against the shared read-only
+    /// knowledge base. Output order matches query order and every ranking
+    /// equals a sequential [`RankerModel::rank_one`] call, whatever the
+    /// thread count. Records the `qatk_core_batch_*` fan-out metrics.
+    fn fan_out(
+        &self,
+        kb: &KnowledgeBase,
+        index: Option<&SealedIndex>,
+        queries: &[BatchQuery<'_>],
+        threads: usize,
+    ) -> Vec<Vec<ScoredCode>> {
+        let m = crate::metrics::metrics();
+        let _wall = qatk_obs::Timer::start(m.batch_wall_ns);
+        m.batch_total.inc();
+        m.batch_size.record(queries.len() as u64);
+        let work = |qchunk: &[BatchQuery<'_>], ochunk: &mut [Vec<ScoredCode>]| {
+            let _busy = qatk_obs::Timer::start(m.batch_worker_busy_ns);
+            for (q, slot) in qchunk.iter().zip(ochunk) {
+                *slot = self.rank_one(kb, index, q.part_id, q.features);
+            }
+        };
+        let mut out: Vec<Vec<ScoredCode>> = Vec::new();
+        out.resize_with(queries.len(), Vec::new);
+        let threads = threads.clamp(1, queries.len().max(1));
+        if threads == 1 {
+            m.batch_workers.set(1);
+            work(queries, &mut out);
+            return out;
+        }
+        let chunk = queries.len().div_ceil(threads);
+        m.batch_workers.set(queries.len().div_ceil(chunk) as i64);
+        let work = &work;
+        std::thread::scope(|s| {
+            for (qchunk, ochunk) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
+                s.spawn(move || work(qchunk, ochunk));
+            }
+        });
+        out
     }
 }
 
@@ -743,7 +754,7 @@ mod tests {
         let knn = RankedKnn::default();
         assert_eq!(
             unknown_part_fallback(&kb, 25),
-            knn.rank(&kb, "P-??", &fs(&[777]))
+            knn.rank(&SealedIndex::build(&kb), &kb, "P-??", &fs(&[777]))
         );
     }
 
@@ -786,8 +797,44 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_is_independent_of_thread_count() {
+        let kb = kb();
+        let idx = SealedIndex::build(&kb);
+        let queries_owned = [
+            ("P-01", fs(&[1, 2, 3])),
+            ("P-01", fs(&[2, 3])),
+            ("P-02", fs(&[1, 2, 3])),
+            ("P-??", fs(&[777])),
+            ("P-01", fs(&[])),
+        ];
+        let queries: Vec<BatchQuery<'_>> = queries_owned
+            .iter()
+            .map(|(p, f)| BatchQuery {
+                part_id: p,
+                features: f,
+            })
+            .collect();
+        for family in ClassifierFamily::ALL {
+            let model = train(family);
+            let expected: Vec<_> = queries
+                .iter()
+                .map(|q| model.rank_one(&kb, Some(&idx), q.part_id, q.features))
+                .collect();
+            for threads in [1, 2, 3, 8] {
+                assert_eq!(
+                    model.fan_out(&kb, Some(&idx), &queries, threads),
+                    expected,
+                    "{family:?} diverges at {threads} threads"
+                );
+            }
+            assert!(model.fan_out(&kb, Some(&idx), &[], 4).is_empty());
+        }
+    }
+
+    #[test]
     fn knn_ranker_is_the_existing_kernel() {
         let kb = kb();
+        let idx = SealedIndex::build(&kb);
         let model = train(ClassifierFamily::Knn);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
         for (part, q) in [
@@ -795,7 +842,9 @@ mod tests {
             ("P-??", fs(&[9])),
             ("P-02", fs(&[1])),
         ] {
-            assert_eq!(model.rank(&kb, None, part, &q), knn.rank(&kb, part, &q));
+            let expected = knn.rank(&idx, &kb, part, &q);
+            assert_eq!(model.rank(&kb, Some(&idx), part, &q), expected);
+            assert_eq!(model.rank(&kb, None, part, &q), expected);
         }
     }
 
@@ -818,6 +867,7 @@ mod tests {
         let kb = kb();
         let model = train(ClassifierFamily::Centroid);
         let before = m.rank_family_centroid_total.get();
+        let batches_before = m.batch_total.get();
         model.rank(&kb, None, "P-01", &fs(&[1, 2]));
         let q = [BatchQuery {
             part_id: "P-01",
@@ -826,5 +876,7 @@ mod tests {
         model.rank_batch(&kb, None, &q);
         // other parallel tests may bump the counters too, so assert with ≥
         assert!(m.rank_family_centroid_total.get() >= before + 2);
+        // a non-kNN batch reports its fan-out like a kNN batch does
+        assert!(m.batch_total.get() > batches_before);
     }
 }

@@ -41,8 +41,8 @@ fn pruned_top25_covers_exact_top25() {
     for (part, feats) in corpus.queries(QUERIES, 7) {
         let part = ScaleCorpus::part_name(part);
         let features = FeatureSet::from_unsorted(feats);
-        let exact_ranked = knn.rank_sealed(&idx, &kb, &part, &features);
-        let pruned_ranked = knn.rank_sealed_pruned(&idx, &kb, &part, &features);
+        let exact_ranked = knn.rank(&idx, &kb, &part, &features);
+        let pruned_ranked = knn.rank_pruned(&idx, &kb, &part, &features);
         let exact = top_codes(&exact_ranked);
         let pruned = top_codes(&pruned_ranked);
         assert!(!exact.is_empty(), "query has no exact candidates at all");

@@ -63,12 +63,13 @@ fn noised(bundle: &DataBundle) -> DataBundle {
     b
 }
 
-/// Train a frozen (vocabulary, knowledge base) pair on the clean corpus.
+/// Train a frozen vocabulary, knowledge base and its sealed index on the
+/// clean corpus.
 fn train(
     corpus: &Corpus,
     pipeline: &Pipeline,
     model: FeatureModel,
-) -> (FrozenFeatureSpace, KnowledgeBase) {
+) -> (FrozenFeatureSpace, KnowledgeBase, SealedIndex) {
     let mut space = FeatureSpace::new();
     let mut kb = KnowledgeBase::new();
     for b in &corpus.bundles {
@@ -79,7 +80,8 @@ fn train(
         pipeline.process(&mut cas).expect("corpus text is clean");
         kb.insert(b.part_id.clone(), code, space.extract(&cas, model));
     }
-    (space.freeze(), kb)
+    let idx = SealedIndex::build(&kb);
+    (space.freeze(), kb, idx)
 }
 
 /// Extract the noised bundle against the frozen vocabulary and rank it;
@@ -87,7 +89,7 @@ fn train(
 fn noised_outcome(
     pipeline: &Pipeline,
     space: &FrozenFeatureSpace,
-    kb: &KnowledgeBase,
+    (kb, idx): (&KnowledgeBase, &SealedIndex),
     model: FeatureModel,
     bundle: &DataBundle,
 ) -> (usize, bool) {
@@ -98,7 +100,7 @@ fn noised_outcome(
     let features = space.extract(&cas, model);
     let truth = bundle.error_code.as_deref().expect("coded bundle");
     let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-    let ranked = knn.rank(kb, &bundle.part_id, &features);
+    let ranked = knn.rank(idx, kb, &bundle.part_id, &features);
     let hit = ranked.iter().take(TOP_K).any(|s| s.code == truth);
     (features.len(), hit)
 }
@@ -111,8 +113,8 @@ fn char_ngrams_survive_transposition_noise_where_bag_of_words_goes_oov() {
     // annotator wiring identical to the serving path
     let bow_pipeline = build_pipeline(&corpus, FeatureModel::BagOfWords);
     let ngram_pipeline = build_pipeline(&corpus, ngram_model);
-    let (bow_space, bow_kb) = train(&corpus, &bow_pipeline, FeatureModel::BagOfWords);
-    let (ngram_space, ngram_kb) = train(&corpus, &ngram_pipeline, ngram_model);
+    let (bow_space, bow_kb, bow_idx) = train(&corpus, &bow_pipeline, FeatureModel::BagOfWords);
+    let (ngram_space, ngram_kb, ngram_idx) = train(&corpus, &ngram_pipeline, ngram_model);
 
     let coded: Vec<&DataBundle> = corpus
         .bundles
@@ -129,12 +131,17 @@ fn char_ngrams_survive_transposition_noise_where_bag_of_words_goes_oov() {
         let (bow_feats, bow_hit) = noised_outcome(
             &bow_pipeline,
             &bow_space,
-            &bow_kb,
+            (&bow_kb, &bow_idx),
             FeatureModel::BagOfWords,
             b,
         );
-        let (ngram_feats, ngram_hit) =
-            noised_outcome(&ngram_pipeline, &ngram_space, &ngram_kb, ngram_model, b);
+        let (ngram_feats, ngram_hit) = noised_outcome(
+            &ngram_pipeline,
+            &ngram_space,
+            (&ngram_kb, &ngram_idx),
+            ngram_model,
+            b,
+        );
         bow_hits += bow_hit as usize;
         bow_nonempty += (bow_feats > 0) as usize;
         assert!(

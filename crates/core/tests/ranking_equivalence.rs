@@ -1,14 +1,18 @@
-//! Differential suite: the posting-list score-accumulation kernel behind
-//! [`RankedKnn::rank`] must be indistinguishable from the original
-//! per-candidate set-intersection path, kept alive as
-//! [`RankedKnn::rank_naive`] exactly to serve as the oracle here.
+//! Differential suite: the score-accumulation kernel behind
+//! [`RankedKnn::rank`], walking the compressed postings of a
+//! [`SealedIndex`], must be indistinguishable from the per-candidate
+//! set-intersection oracle [`rank_naive`] below, which scans the knowledge
+//! base's nodes directly.
 //!
 //! Every property below generates a random knowledge base and query, runs
 //! both paths, and requires the *same codes in the same order* with scores
 //! within 1e-12 (they are in fact computed with identical f64 operations,
 //! so they agree bit-for-bit — the tolerance is the spec, the equality is
 //! the implementation). Known and unknown part IDs, empty feature sets and
-//! tiny `top_nodes` cut-offs are all inside the generated space.
+//! tiny `top_nodes` cut-offs are all inside the generated space. A second
+//! layer holds every classifier family to the [`Classifier`] contract:
+//! rankings do not depend on whether a sealed index is passed, and a batch
+//! equals its queries ranked one by one.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -41,9 +45,46 @@ fn query() -> impl Strategy<Value = (u8, Vec<u32>)> {
     (0u8..6, vec(0u32..12, 0..8))
 }
 
+/// The scan-based oracle: candidate selection via
+/// [`KnowledgeBase::candidates`] (a full scan of the part's nodes), a full
+/// re-intersection of every candidate's feature set, a full sort,
+/// truncation to `top_nodes`, then code dedup keeping the best score.
+fn rank_naive(
+    knn: &RankedKnn,
+    kb: &KnowledgeBase,
+    part_id: &str,
+    features: &FeatureSet,
+) -> Vec<ScoredCode> {
+    let mut scored: Vec<(f64, usize)> = kb
+        .candidates(part_id, features)
+        .into_iter()
+        .map(|i| (knn.measure.score(features, &kb.nodes()[i].features), i))
+        .collect();
+    // descending score; ties by node order for determinism
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    scored.truncate(knn.top_nodes);
+    let mut out: Vec<ScoredCode> = Vec::new();
+    for (score, idx) in scored {
+        let code = &kb.nodes()[idx].error_code;
+        match out.iter_mut().find(|s| &s.code == code) {
+            Some(existing) => {
+                if score > existing.score {
+                    existing.score = score;
+                }
+            }
+            None => out.push(ScoredCode {
+                code: code.clone(),
+                score,
+            }),
+        }
+    }
+    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.code.cmp(&b.code)));
+    out
+}
+
 fn assert_equivalent(knn: &RankedKnn, kb: &KnowledgeBase, part: &str, features: &FeatureSet) {
-    let fast = knn.rank(kb, part, features);
-    let naive = knn.rank_naive(kb, part, features);
+    let fast = knn.rank(&SealedIndex::build(kb), kb, part, features);
+    let naive = rank_naive(knn, kb, part, features);
     assert_eq!(
         fast.len(),
         naive.len(),
@@ -123,17 +164,15 @@ proptest! {
         check_measure(SimilarityMeasure::Cosine, &nodes, part, &feats, top);
     }
 
-    /// The parallel batch path must agree with sequential `rank` for every
-    /// query, whatever the worker count (including workers > queries and the
-    /// sequential single-thread special case).
+    /// Every family, batched or not, sealed index passed or not, ranks
+    /// each query exactly like a sequential call with the index.
     #[test]
-    fn classify_batch_matches_sequential(
+    fn every_family_ranks_alike_with_or_without_index_and_batching(
         nodes in vec(node_spec(), 0..24),
         queries in vec(query(), 0..12),
-        threads in 1usize..6,
     ) {
         let kb = build_kb(&nodes);
-        let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
+        let idx = SealedIndex::build(&kb);
         let parts: Vec<String> = queries.iter().map(|(p, _)| format!("P-{p:02}")).collect();
         let feats: Vec<FeatureSet> = queries
             .iter()
@@ -144,11 +183,17 @@ proptest! {
             .zip(&feats)
             .map(|(p, f)| BatchQuery { part_id: p, features: f })
             .collect();
-        let got = knn.classify_batch_with_threads(&kb, &batch, threads);
-        prop_assert_eq!(got.len(), batch.len());
-        for (q, ranked) in batch.iter().zip(&got) {
-            let expected = knn.rank(&kb, q.part_id, q.features);
-            prop_assert_eq!(ranked, &expected);
+        for family in ClassifierFamily::ALL {
+            let model = RankerConfig::new(family, SimilarityMeasure::Jaccard).train(&kb);
+            let expected: Vec<Vec<ScoredCode>> = batch
+                .iter()
+                .map(|q| model.rank(&kb, Some(&idx), q.part_id, q.features))
+                .collect();
+            for (q, want) in batch.iter().zip(&expected) {
+                prop_assert_eq!(&model.rank(&kb, None, q.part_id, q.features), want);
+            }
+            prop_assert_eq!(&model.rank_batch(&kb, Some(&idx), &batch), &expected);
+            prop_assert_eq!(&model.rank_batch(&kb, None, &batch), &expected);
         }
     }
 }

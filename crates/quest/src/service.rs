@@ -275,8 +275,7 @@ impl RecommendationService {
     pub fn suggest_on(&self, snapshot: &KnowledgeSnapshot, bundle: &DataBundle) -> Suggestions {
         let features = Self::extract_with(snapshot, bundle);
         // dispatch through the snapshot's seal-time-trained ranker; the kNN
-        // family serves off the sealed segment (same results as the live
-        // index, asserted by `ranking_equivalence`)
+        // family serves off the snapshot's sealed segment
         let ranked = snapshot.ranker().rank(
             snapshot.kb(),
             Some(snapshot.index()),

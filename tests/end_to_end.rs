@@ -43,7 +43,7 @@ fn corpus_survives_relational_persistence_and_classifies() {
     let mut cas = b.to_cas(SourceSelection::Test);
     pipeline.process(&mut cas).unwrap();
     let f = space.extract(&cas, FeatureModel::BagOfConcepts);
-    let ranked = knn.rank(&kb2, &b.part_id, &f);
+    let ranked = knn.rank(&SealedIndex::build(&kb2), &kb2, &b.part_id, &f);
     assert!(!ranked.is_empty());
 }
 

@@ -234,7 +234,7 @@ proptest! {
         }
         let q = FeatureSet::from_unsorted(query);
         let knn = RankedKnn::new(SimilarityMeasure::Jaccard);
-        let ranked = knn.rank(&kb, "P-1", &q);
+        let ranked = knn.rank(&SealedIndex::build(&kb), &kb, "P-1", &q);
         // bounded by top_nodes
         prop_assert!(ranked.len() <= knn.top_nodes);
         // sorted by descending score
