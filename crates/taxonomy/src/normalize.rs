@@ -8,6 +8,10 @@
 /// Normalize a single token: lowercase + German transliteration
 /// (ä→ae, ö→oe, ü→ue, ß→ss).
 pub fn normalize_token(token: &str) -> String {
+    // most report tokens are ASCII, where lowercasing is all there is to do
+    if token.is_ascii() {
+        return token.to_ascii_lowercase();
+    }
     let mut out = String::with_capacity(token.len() + 2);
     for c in token.chars() {
         match c {

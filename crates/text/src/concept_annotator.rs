@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use qatk_taxonomy::concept::{ConceptId, ConceptKind};
+use qatk_taxonomy::normalize::is_separator;
 use qatk_taxonomy::taxonomy::Taxonomy;
 use qatk_taxonomy::trie::TokenTrie;
 
@@ -72,7 +73,9 @@ impl AnalysisEngine for ConceptAnnotator {
                 _ => None,
             })
             .collect();
-        if tokens.is_empty() && !cas.text().trim().is_empty() {
+        // Text without a token character (blank, "!!!") legitimately has no
+        // tokens; tokenizable text without them means no tokenizer ran.
+        if tokens.is_empty() && cas.text().chars().any(|c| !is_separator(c)) {
             return Err(TextError::MissingPrerequisite {
                 engine: self.name().to_owned(),
                 requires: "Token",
@@ -223,6 +226,23 @@ mod tests {
         let (tax, ..) = taxonomy();
         let mut cas = Cas::new();
         cas.add_segment("r", "fan");
+        let err = ConceptAnnotator::new(&tax).process(&mut cas).unwrap_err();
+        assert!(matches!(err, TextError::MissingPrerequisite { .. }));
+    }
+
+    #[test]
+    fn punctuation_only_text_is_fine() {
+        let (tax, ..) = taxonomy();
+        for text in ["!!!", "?", " . ", "\u{0}", "!?\u{0}\n…"] {
+            let mut cas = Cas::new();
+            cas.add_segment("r", text);
+            WhitespaceTokenizer::new().process(&mut cas).unwrap();
+            ConceptAnnotator::new(&tax).process(&mut cas).unwrap();
+            assert_eq!(cas.concept_mentions().count(), 0, "{text:?}");
+        }
+        // a token character without a tokenizer is still an error
+        let mut cas = Cas::new();
+        cas.add_segment("r", "!!! fan");
         let err = ConceptAnnotator::new(&tax).process(&mut cas).unwrap_err();
         assert!(matches!(err, TextError::MissingPrerequisite { .. }));
     }

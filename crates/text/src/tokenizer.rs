@@ -28,20 +28,20 @@ impl AnalysisEngine for WhitespaceTokenizer {
     fn process(&self, cas: &mut Cas) -> Result<()> {
         let m = crate::metrics::metrics();
         let _span = qatk_obs::Timer::start(m.tokenize_latency_ns);
-        let text = cas.text().to_owned();
+        let text = cas.text();
         let mut start: Option<usize> = None;
         let mut pending: Vec<Annotation> = Vec::new();
         for (i, c) in text.char_indices() {
             if is_separator(c) {
                 if let Some(s) = start.take() {
-                    pending.push(token(&text, s, i));
+                    pending.push(token(text, s, i));
                 }
             } else if start.is_none() {
                 start = Some(i);
             }
         }
         if let Some(s) = start {
-            pending.push(token(&text, s, text.len()));
+            pending.push(token(text, s, text.len()));
         }
         m.docs_tokenized_total.inc();
         m.tokens_total.add(pending.len() as u64);

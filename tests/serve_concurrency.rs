@@ -11,7 +11,10 @@
 //! * `/healthz` epochs are monotonically non-decreasing;
 //! * shutdown drains: every `/learn` acked with a 200 is published — after
 //!   the server is gone, the shared service's knowledge base accounts for
-//!   every acked instance.
+//!   every acked instance;
+//! * text without a token character ("!!!", NUL) is served like any other
+//!   text on every endpoint: no handler panics, and a learn of it beside a
+//!   good learn cannot make the good one vanish.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,11 +26,11 @@ use qatk_obs::json::{self, Value};
 use qatk_serve::{HttpClient, Server, ServerConfig};
 use quest::prelude::*;
 
-fn start() -> (Server, Arc<RecommendationService>, Corpus) {
+fn start(model: FeatureModel) -> (Server, Arc<RecommendationService>, Corpus) {
     let corpus = Corpus::generate(CorpusConfig::small(23));
     let svc = Arc::new(RecommendationService::train(
         &corpus,
-        FeatureModel::BagOfWords,
+        model,
         SimilarityMeasure::Overlap,
     ));
     let app = Arc::new(QuestApp::new(Arc::clone(&svc), HealthInfo::default()));
@@ -53,7 +56,7 @@ fn readers_see_consistent_monotonic_epochs_under_publishes() {
     const READS_PER_CLIENT: usize = 60;
     const LEARN_BATCHES: usize = 12;
 
-    let (server, svc, corpus) = start();
+    let (server, svc, corpus) = start(FeatureModel::BagOfWords);
     let addr = server.local_addr();
     let initial_epoch = svc.epoch();
     let writer_done = AtomicBool::new(false);
@@ -152,7 +155,7 @@ fn readers_see_consistent_monotonic_epochs_under_publishes() {
 fn shutdown_drains_without_dropping_acked_learns() {
     const LEARNS: usize = 8;
 
-    let (server, svc, corpus) = start();
+    let (server, svc, corpus) = start(FeatureModel::BagOfWords);
     let addr = server.local_addr();
     let kb_before = svc.kb_len();
     let part = corpus.bundles[0].part_id.clone();
@@ -196,7 +199,7 @@ fn shutdown_drains_without_dropping_acked_learns() {
 fn concurrent_batch_classification_pins_one_epoch() {
     const WRITER_ROUNDS: usize = 6;
 
-    let (server, svc, corpus) = start();
+    let (server, svc, corpus) = start(FeatureModel::BagOfWords);
     let addr = server.local_addr();
     let done = AtomicBool::new(false);
 
@@ -231,5 +234,77 @@ fn concurrent_batch_classification_pins_one_epoch() {
         });
     });
     assert!(svc.epoch() >= WRITER_ROUNDS as u64);
+    server.shutdown();
+}
+
+#[test]
+fn punctuation_only_text_is_served_and_cannot_eat_a_concurrent_learn() {
+    // bag-of-concepts: the pipeline whose concept annotator reads tokens
+    let (server, svc, corpus) = start(FeatureModel::BagOfConcepts);
+    let addr = server.local_addr();
+    let panics_before = qatk_serve::metrics::metrics().handler_panics_total.get();
+    let epoch_before = svc.epoch();
+    let mut c = HttpClient::connect(addr, Duration::from_secs(10)).unwrap();
+
+    let r = c
+        .request(
+            "POST",
+            "/classify_batch",
+            Some("{\"texts\":[\"!!!\",\"?\",\" . \",\"\\u0000\"]}"),
+        )
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_str());
+    let results = parse_json(&r.body);
+    let results = results.get("results").and_then(Value::as_arr).unwrap();
+    assert_eq!(results.len(), 4);
+
+    let part = json::escape(&corpus.bundles[0].part_id);
+    let body = format!(
+        "{{\"part_id\":\"{part}\",\"mechanic_report\":\"!!!\",\"initial_report\":\"?\",\
+         \"supplier_report\":\"\\u0000 ...\",\"part_description\":\"(!)\"}}"
+    );
+    let r = c.request("POST", "/suggest", Some(&body)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_str());
+
+    // a "!!!" learn and a good learn, released together on two connections
+    let good_text = json::escape(&corpus.bundles[0].supplier_report);
+    let learns = [
+        "{\"part_id\":\"P-NEW\",\"text\":\"!!!\",\"code\":\"EX-BANG\"}".to_owned(),
+        format!("{{\"part_id\":\"P-NEW\",\"text\":\"{good_text}\",\"code\":\"EX-GOOD\"}}"),
+    ];
+    let barrier = std::sync::Barrier::new(learns.len());
+    std::thread::scope(|scope| {
+        for body in &learns {
+            let barrier = &barrier;
+            scope.spawn(move || {
+                let mut c = HttpClient::connect(addr, Duration::from_secs(10)).unwrap();
+                barrier.wait();
+                let r = c.request("POST", "/learn", Some(body)).unwrap();
+                assert_eq!(r.status, 200, "{body}: {}", r.body_str());
+            });
+        }
+    });
+    assert!(svc.epoch() > epoch_before);
+    assert_eq!(svc.pending_len(), 0);
+
+    let body = format!("{{\"part_id\":\"P-NEW\",\"text\":\"{good_text}\"}}");
+    let r = c.request("POST", "/suggest", Some(&body)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body_str());
+    let doc = parse_json(&r.body);
+    let top = doc.get("top").and_then(Value::as_arr).unwrap();
+    assert_eq!(
+        top.first()
+            .and_then(|s| s.get("code"))
+            .and_then(Value::as_str),
+        Some("EX-GOOD"),
+        "the good learn is not visible: {}",
+        r.body_str()
+    );
+
+    assert_eq!(
+        qatk_serve::metrics::metrics().handler_panics_total.get(),
+        panics_before,
+        "a handler panicked"
+    );
     server.shutdown();
 }
