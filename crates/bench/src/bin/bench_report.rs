@@ -318,8 +318,9 @@ fn run_classic(seed: u64) -> Result<(Vec<BenchResult>, f64, f64, f64), String> {
     let _ = std::fs::remove_file(&fsync_path);
 
     eprintln!("measuring observability overhead on classify_batch ...");
-    // several batch calls per sample: one call is ~100µs dominated by worker
-    // spawn/join jitter, so each timed sample amortizes it
+    // several batch calls per sample: the 120-query batch fans out, so each
+    // call starts and joins a worker per core, and each timed sample
+    // amortizes that jitter
     let obs_overhead_pct = measure_overhead(qatk_obs::set_enabled, 24, 4, || {
         std::hint::black_box(ranker.rank_batch(&kb, Some(&idx), &queries));
     });
